@@ -1,15 +1,14 @@
 #!/usr/bin/env bash
 # Runs the microbenchmark suite and records the results as JSON.
 #
-# Usage: bench/run_micro.sh [build-dir] [output-json] [sharded-sidecar-json]
+# Usage: bench/run_micro.sh [build-dir] [output-json]
 #
-# Defaults to ./build, ./BENCH_micro.json and ./BENCH_micro_sharded.json
-# (repo root). The first JSON is the native google-benchmark format; the
-# batched-ingest acceptance numbers live in the BM_IngestPerEvent /
-# BM_IngestBatch/* entries (items_per_second). The sharded sidecar carries
-# the BM_IngestSharded shard sweep (events/sec, speedup and scaling
-# efficiency vs 1 shard, deterministic engine counters); its headline
-# numbers are appended to BENCH_history.jsonl when desis_inspect is built.
+# Defaults to ./build and ./BENCH_micro.json (repo root). The JSON is the
+# native google-benchmark format; the batched-ingest acceptance numbers
+# live in the BM_IngestPerEvent / BM_IngestBatch/* entries
+# (items_per_second). The flight-recorder overhead pair lands in
+# <build-dir>/bench_micro_metrics.json and is appended to
+# BENCH_history.jsonl when desis_inspect is built.
 #
 # The optimizer suites ride along: bench_correlated (10k-query factor
 # rewriting, sidecar BENCH_correlated.json) and bench_query_churn (runtime
@@ -23,7 +22,7 @@ set -euo pipefail
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:-$repo_root/build}"
 out_json="${2:-$repo_root/BENCH_micro.json}"
-sharded_json="${3:-$repo_root/BENCH_micro_sharded.json}"
+micro_json="$build_dir/bench_micro_metrics.json"
 bin="$build_dir/bench/bench_micro"
 
 if [[ ! -x "$bin" ]]; then
@@ -32,7 +31,7 @@ if [[ ! -x "$bin" ]]; then
   exit 1
 fi
 
-DESIS_METRICS_OUT="$sharded_json" "$bin" \
+DESIS_METRICS_OUT="$micro_json" "$bin" \
   --benchmark_format=json \
   --benchmark_out="$out_json" \
   --benchmark_out_format=json \
@@ -41,9 +40,9 @@ DESIS_METRICS_OUT="$sharded_json" "$bin" \
 echo "Wrote $out_json"
 
 inspect="$build_dir/tools/desis_inspect"
-if [[ -x "$inspect" && -s "$sharded_json" ]]; then
-  "$inspect" summary "$sharded_json"
-  "$inspect" history "$sharded_json" --append="$repo_root/BENCH_history.jsonl"
+if [[ -x "$inspect" && -s "$micro_json" ]]; then
+  "$inspect" summary "$micro_json"
+  "$inspect" history "$micro_json" --append="$repo_root/BENCH_history.jsonl"
 fi
 
 # Optimizer and bounded-memory suites: each exits non-zero when its

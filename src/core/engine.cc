@@ -27,24 +27,19 @@ std::unique_ptr<StreamSlicer> SlicingEngine::MakeSlicer(QueryGroup group) {
   if (slicers_.size() < kMaxInstrumentedGroups) {
     slicer->set_metrics(registry_);
   }
-  if (gov_ != nullptr) slicer->set_memory(gov_);
+  if (gov_ != nullptr) slicer->set_memory(gov_.get());
   return slicer;
 }
 
 void SlicingEngine::EnableMemoryBudget(const mem::MemoryOptions& options) {
-  owned_gov_ = options.budget_bytes == 0
-                   ? nullptr
-                   : std::make_unique<mem::MemoryGovernor>(options);
-  set_memory_governor(owned_gov_.get());
-}
-
-void SlicingEngine::set_memory_governor(mem::MemoryGovernor* governor) {
-  if (governor != owned_gov_.get()) owned_gov_.reset();
-  gov_ = governor;
-  for (auto& slicer : slicers_) slicer->set_memory(gov_);
-  if (gov_ != nullptr && registry_ != nullptr) {
-    gov_->AttachMetrics(registry_, {});
-  }
+  // Detach the slicers before the old governor dies.
+  for (auto& slicer : slicers_) slicer->set_memory(nullptr);
+  gov_ = options.budget_bytes == 0
+             ? nullptr
+             : std::make_unique<mem::MemoryGovernor>(options);
+  if (gov_ == nullptr) return;
+  for (auto& slicer : slicers_) slicer->set_memory(gov_.get());
+  if (registry_ != nullptr) gov_->AttachMetrics(registry_, {});
 }
 
 void SlicingEngine::OnTracerAttached() {

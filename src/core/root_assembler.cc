@@ -1,7 +1,6 @@
 #include "core/root_assembler.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "core/spec_layout.h"
 #include "obs/flight_recorder.h"
@@ -151,20 +150,17 @@ void RootAssembler::AddPartial(const SliceRecord& msg) {
   }
 
   // Senders pin their advertised watermark to the earliest slice they still
-  // hold (ShardedEngine::AdvanceTo, DesisIntermediateNode::FlushUpTo), so a
-  // partial can never arrive at or behind the session scan's cursor — the
-  // scan consumes each entry exactly once, and activity merged in behind it
-  // would silently vanish from session tracking.
-#ifndef NDEBUG
-  if (!(session_specs_.empty() || session_cursor_.first == kNoTimestamp ||
-        EntryKey{msg.start, msg.end} > session_cursor_)) {
-    // Flush every flight recorder before the abort: the rings hold the
-    // control-plane events that led here (docs/FAULT_TOLERANCE.md).
+  // hold (DesisIntermediateNode::FlushUpTo), so a partial can never arrive
+  // at or behind the session scan's cursor — the scan consumes each entry
+  // exactly once, and activity merged in behind it would silently vanish
+  // from session tracking. Checked in every build: a violation is counted
+  // and dumps the flight recorders, whose rings hold the control-plane
+  // events that led here (docs/FAULT_TOLERANCE.md).
+  if (!session_specs_.empty() && session_cursor_.first != kNoTimestamp &&
+      EntryKey{msg.start, msg.end} <= session_cursor_) {
+    ++cursor_violations_;
     obs::NotifyFlightFailure("root_assembler_session_cursor");
   }
-#endif
-  assert((session_specs_.empty() || session_cursor_.first == kNoTimestamp ||
-          EntryKey{msg.start, msg.end} > session_cursor_));
   auto [it, inserted] = entries_.try_emplace(EntryKey{msg.start, msg.end});
   Entry& entry = it->second;
   if (inserted) {

@@ -19,10 +19,7 @@ namespace desis {
 /// tracking (session windows), and shipped end punctuations (user-defined
 /// windows). Everything is watermark-driven: a window [ws, we) closes only
 /// once every child's watermark passed `we`, so out-of-order arrival across
-/// children is safe. The "children" need not be remote nodes: the
-/// ShardedEngine reuses this exact machinery intra-process, with its shard
-/// threads as the children (core/sharded_engine.h), which is why this
-/// lives in core and consumes plain SliceRecords — the net layer converts
+/// children is safe. It consumes plain SliceRecords; the net layer converts
 /// wire SlicePartialMsgs before handing them over.
 class RootAssembler {
  public:
@@ -30,6 +27,12 @@ class RootAssembler {
 
   /// Folds one child slice partial into the matching root slice.
   void AddPartial(const SliceRecord& msg);
+
+  /// Partials that arrived at or behind the session scan's cursor (see
+  /// AddPartial). Each one is still merged, but the scan has already
+  /// consumed its range, so its events are missing from session tracking.
+  /// Non-zero means a sender broke the watermark-pinning invariant.
+  uint64_t cursor_violations() const { return cursor_violations_; }
 
   /// Closes every window ending at or before `watermark` (use the minimum
   /// over all children's watermarks).
@@ -113,6 +116,7 @@ class RootAssembler {
   std::vector<uint32_t> fixed_order_;
   std::map<EntryKey, Entry> entries_;
   EntryKey session_cursor_{kNoTimestamp, kNoTimestamp};
+  uint64_t cursor_violations_ = 0;
   bool initialized_ = false;
   bool any_closed_ = false;
   Timestamp first_start_ = kMaxTimestamp;

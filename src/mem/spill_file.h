@@ -20,7 +20,7 @@ namespace desis::mem {
 /// inside the .gitignore'd spill dir, never in the tree).
 ///
 /// Single-threaded: one SpillFile belongs to one StreamSlicer (and thus to
-/// one shard thread); the governor hands out one file per client.
+/// one ingest thread); the governor hands out one file per client.
 class SpillFile {
  public:
   /// Creates a uniquely named run file under `dir` (created if missing).

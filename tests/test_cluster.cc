@@ -4,10 +4,12 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/engine.h"
+#include "transport/threaded_transport.h"
 
 namespace desis {
 namespace {
@@ -25,7 +27,8 @@ Query MakeQuery(QueryId id, WindowSpec window, AggregationFunction fn,
 using ResultMap = std::map<QueryId, std::map<Timestamp, WindowResult>>;
 
 // Feeds per-local streams through the cluster in lock-stepped time rounds
-// of `step` µs, advancing watermarks after each round.
+// of `step` µs, advancing watermarks after each round, then drains the
+// transport so every result has reached the sink.
 ResultMap RunCluster(Cluster& cluster,
                      const std::vector<std::vector<Event>>& per_local,
                      Timestamp step, Timestamp end_ts) {
@@ -49,6 +52,7 @@ ResultMap RunCluster(Cluster& cluster,
     cluster.Advance(t + step);
   }
   cluster.Advance(end_ts + 10 * step);
+  cluster.Drain();
   return results;
 }
 
@@ -87,6 +91,12 @@ std::vector<std::vector<Event>> RandomStreams(int locals, int per_local,
     }
   }
   return streams;
+}
+
+size_t WindowCount(const ResultMap& results) {
+  size_t n = 0;
+  for (const auto& [qid, windows] : results) n += windows.size();
+  return n;
 }
 
 void ExpectSameResults(const ResultMap& got, const ResultMap& want,
@@ -232,6 +242,67 @@ TEST(DesisCluster, SelectionLanesAcrossNodes) {
   auto got = RunCluster(cluster, streams, 50, 1200);
   auto want = RunReference(queries, streams, 1200);
   ExpectSameResults(got, want);
+}
+
+// Integer values, ~1% session gaps of 200-400 µs, and optionally 90% of
+// the events on one hot key.
+std::vector<Event> GappedStream(uint64_t seed, int count, int num_keys,
+                                bool skewed) {
+  Rng rng(seed);
+  std::vector<Event> events;
+  Timestamp ts = 0;
+  for (int i = 0; i < count; ++i) {
+    ts += rng.NextBool(0.01) ? rng.NextInRange(200, 400)
+                             : rng.NextInRange(0, 4);
+    const uint32_t key =
+        skewed && rng.NextBool(0.9)
+            ? 0u
+            : static_cast<uint32_t>(
+                  rng.NextBounded(static_cast<uint64_t>(num_keys)));
+    events.push_back(
+        {ts, key, static_cast<double>(rng.NextBounded(1000)), kNoMarker});
+  }
+  return events;
+}
+
+TEST(DesisCluster, MixedWindowsThroughIntermediateMatchSingleNodeExactly) {
+  // Several query kinds share one group on the serial local path, and the
+  // intermediate holds incomplete slices back while pinning its watermark
+  // (the session windows depend on that). Integer values make every
+  // aggregate exact, so the comparison allows no tolerance.
+  std::vector<Query> queries = {
+      MakeQuery(1, WindowSpec::Tumbling(500), AggregationFunction::kSum),
+      MakeQuery(2, WindowSpec::Sliding(900, 300), AggregationFunction::kAverage),
+      MakeQuery(3, WindowSpec::Session(150), AggregationFunction::kMax),
+      MakeQuery(4, WindowSpec::Tumbling(700), AggregationFunction::kCount,
+                Predicate::KeyEquals(3)),
+      MakeQuery(5, WindowSpec::Sliding(1200, 400), AggregationFunction::kMin,
+                Predicate::ValueRange(100, 800)),
+  };
+  std::vector<std::vector<Event>> streams;
+  Timestamp end_ts = 0;
+  for (int l = 0; l < 3; ++l) {
+    streams.push_back(GappedStream(100 + static_cast<uint64_t>(l), 6'000,
+                                   /*num_keys=*/32, /*skewed=*/l == 1));
+    end_ts = std::max(end_ts, streams.back().back().ts);
+  }
+  end_ts += 2'000;  // rounds continue past the widest window
+  const ResultMap want = RunReference(queries, streams, end_ts);
+  ASSERT_EQ(want.size(), queries.size());
+  for (const bool threaded : {false, true}) {
+    for (const Timestamp step : {50, 250, 1'000}) {
+      SCOPED_TRACE(testing::Message() << (threaded ? "threaded" : "inline")
+                                      << " step=" << step);
+      Cluster cluster(ClusterSystem::kDesis, {3, 1});
+      if (threaded) {
+        cluster.set_transport(std::make_unique<ThreadedTransport>());
+      }
+      ASSERT_TRUE(cluster.Configure(queries).ok());
+      const ResultMap got = RunCluster(cluster, streams, step, end_ts);
+      EXPECT_EQ(WindowCount(got), WindowCount(want));
+      ExpectSameResults(got, want, /*tol=*/0.0);
+    }
+  }
 }
 
 TEST(DesisCluster, DeeperTopologyGivesSameResults) {

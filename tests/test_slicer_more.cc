@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <vector>
 
 #include "baselines/ce_buffer.h"
@@ -8,6 +9,7 @@
 #include "core/engine.h"
 #include "net/cluster.h"
 #include "core/root_assembler.h"
+#include "obs/flight_recorder.h"
 
 namespace desis {
 namespace {
@@ -228,6 +230,27 @@ TEST_F(RootAssemblerTest, SlidingWindowsAssembleAcrossEntries) {
       EXPECT_DOUBLE_EQ(r.value, 20.0) << "window @" << r.window_start;
     }
   }
+}
+
+TEST_F(RootAssemblerTest, PartialBehindSessionCursorIsCountedInEveryBuild) {
+  // The session scan consumes each entry once; a partial landing at or
+  // behind its cursor means a sender broke watermark pinning. The check
+  // runs in release builds too: it counts, notifies the flight-failure
+  // hook, and still merges the partial.
+  Configure({MakeQuery(1, WindowSpec::Session(25), AggregationFunction::kSum)});
+  std::vector<std::string> reasons;
+  obs::SetFlightFailureHook(
+      [&](const std::string& reason) { reasons.push_back(reason); });
+  assembler_->AddPartial(Partial(0, 10, 1.0, 1));
+  assembler_->AddPartial(Partial(20, 30, 2.0, 1));
+  assembler_->AdvanceTo(40);
+  EXPECT_EQ(assembler_->cursor_violations(), 0u);
+  EXPECT_TRUE(reasons.empty());
+  assembler_->AddPartial(Partial(5, 15, 4.0, 1));
+  obs::SetFlightFailureHook(nullptr);
+  EXPECT_EQ(assembler_->cursor_violations(), 1u);
+  ASSERT_EQ(reasons.size(), 1u);
+  EXPECT_EQ(reasons[0], "root_assembler_session_cursor");
 }
 
 // ------------------------------------------------- randomized sweeps -----
