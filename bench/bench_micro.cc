@@ -1,15 +1,19 @@
 // Microbenchmarks (google-benchmark) for the engine's primitives: operator
-// folds, partial merges, serialization, slicing, query-group formation,
-// and batched ingest (with the flight-recorder overhead probe).
+// folds, partial merges, serialization, slicing, root window assembly,
+// query-group formation, and batched ingest (with the flight-recorder
+// overhead probe).
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstring>
 
+#include "common/rng.h"
 #include "common/serde.h"
 #include "core/engine.h"
 #include "core/operators.h"
 #include "core/query_analyzer.h"
+#include "core/root_assembler.h"
 #include "gen/data_generator.h"
 #include "harness.h"
 
@@ -112,6 +116,89 @@ void BM_SlicerIngest(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SlicerIngest)->Arg(1)->Arg(10)->Arg(100)->Arg(1000);
+
+// Root window assembly over sorted slice runs, with clusterbench
+// fanin_holistic's query mix (MEDIAN / QUANTILE(0.9, 0.99) over 100-250 ms
+// windows sliding by 50 ms and tumbling, plus one SUM) and its root input:
+// 200 slice partials of 50 ms with 10k integer values each. Every partial
+// reaches the assembler as an rvalue, as the root node hands it over, and
+// the watermark follows each slice end, so windows close as they would at
+// a root. Items are events.
+void BM_AssembleSortedWindows(benchmark::State& state) {
+  constexpr int kSlices = 200;
+  constexpr int kValuesPerSlice = 10'000;
+  constexpr Timestamp kSliceLen = 50 * kMillisecond;
+  using F = AggregationFunction;
+  auto query = [](QueryId id, WindowSpec window, F fn, double quantile) {
+    Query q;
+    q.id = id;
+    q.window = window;
+    q.agg = {fn, quantile};
+    return q;
+  };
+  auto sliding = [](Timestamp ms) {
+    return WindowSpec::Sliding(ms * kMillisecond, kSliceLen);
+  };
+  auto tumbling = [](Timestamp ms) {
+    return WindowSpec::Tumbling(ms * kMillisecond);
+  };
+  const std::vector<Query> queries = {
+      query(1, sliding(100), F::kMedian, 0.5),
+      query(2, sliding(150), F::kQuantile, 0.9),
+      query(3, sliding(200), F::kQuantile, 0.99),
+      query(4, sliding(250), F::kMedian, 0.5),
+      query(5, sliding(200), F::kQuantile, 0.9),
+      query(6, tumbling(100), F::kQuantile, 0.99),
+      query(7, tumbling(250), F::kMedian, 0.5),
+      query(8, tumbling(100), F::kSum, 0.5),
+  };
+  QueryAnalyzer analyzer(DeploymentMode::kDecentralized,
+                         SharingPolicy::kCrossFunction);
+  const QueryGroup group = analyzer.Analyze(queries).value().front();
+
+  Rng rng(static_cast<uint64_t>(state.range(0)));
+  std::vector<SliceRecord> slices(kSlices);
+  std::vector<double> values(kValuesPerSlice);
+  for (int i = 0; i < kSlices; ++i) {
+    SliceRecord& rec = slices[static_cast<size_t>(i)];
+    rec.id = static_cast<uint64_t>(i);
+    rec.start = i * kSliceLen;
+    rec.end = rec.start + kSliceLen;
+    rec.last_event_ts = rec.end - 1;
+    PartialAggregate agg(group.mask);
+    for (double& v : values) v = static_cast<double>(rng.NextBounded(1000));
+    agg.AddN(values.data(), values.size());
+    agg.Seal();
+    rec.lanes = {agg};
+    rec.lane_events = {kValuesPerSlice};
+    rec.lane_last_ts = {rec.last_event_ts};
+  }
+
+  uint64_t checksum = 0;
+  uint64_t windows = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<SliceRecord> batch = slices;
+    EngineStats stats;
+    RootAssembler root(group, &stats, [&](const WindowResult& r) {
+      uint64_t bits = 0;
+      std::memcpy(&bits, &r.value, sizeof(bits));
+      checksum += bits ^ r.event_count;
+    });
+    state.ResumeTiming();
+    for (SliceRecord& rec : batch) {
+      const Timestamp end = rec.end;
+      root.AddPartial(std::move(rec));
+      root.AdvanceTo(end);
+    }
+    root.AdvanceTo(kSlices * kSliceLen + 10 * kSliceLen);
+    benchmark::DoNotOptimize(checksum);
+    windows = stats.windows_fired;
+  }
+  state.counters["windows"] = static_cast<double>(windows);
+  state.SetItemsProcessed(state.iterations() * kSlices * kValuesPerSlice);
+}
+BENCHMARK(BM_AssembleSortedWindows)->Arg(21)->Unit(benchmark::kMillisecond);
 
 // Multi-query tumbling+sliding time-window workload for the batched-ingest
 // throughput comparison: all specs are fixed-size time windows, so the

@@ -120,25 +120,12 @@ void SortedState::Merge(const SortedState& other) {
 
 double SortedState::Median() const {
   assert(sealed_);
-  if (digest_) return digest_->Quantile(0.5);
-  assert(!values_.empty());
-  const size_t n = values_.size();
-  if (n % 2 == 1) return values_[n / 2];
-  return 0.5 * (values_[n / 2 - 1] + values_[n / 2]);
+  return SortedRuns(*this).Median();
 }
 
 double SortedState::Quantile(double q) const {
   assert(sealed_);
-  if (digest_) return digest_->Quantile(q);
-  assert(!values_.empty());
-  if (q <= 0.0) return values_.front();
-  if (q >= 1.0) return values_.back();
-  // Linear interpolation between closest ranks (type-7 quantile).
-  const double pos = q * static_cast<double>(values_.size() - 1);
-  const size_t lo = static_cast<size_t>(pos);
-  const double frac = pos - static_cast<double>(lo);
-  if (lo + 1 >= values_.size()) return values_[lo];
-  return values_[lo] + frac * (values_[lo + 1] - values_[lo]);
+  return SortedRuns(*this).Quantile(q);
 }
 
 void SortedState::SerializeTo(ByteWriter& out) const {
@@ -169,6 +156,184 @@ SortedState SortedState::DeserializeFrom(ByteReader& in) {
   state.sample_cap_ = in.ReadU64();
   state.values_ = in.ReadPodVector<double>();
   return state;
+}
+
+void SortedRuns::Append(const SortedState& run) {
+  assert(whole_ == nullptr && run.sealed());
+  if (!merged_ && (run.sketch() || run.sample_cap() != 0)) StartMerging();
+  if (merged_) {
+    merged_->Merge(run);
+    return;
+  }
+  runs_.push_back(&run);
+  size_ += run.size();
+}
+
+void SortedRuns::Prepend(const SortedState& run) {
+  assert(whole_ == nullptr && run.sealed());
+  if (!merged_ && (run.sketch() || run.sample_cap() != 0)) StartMerging();
+  if (merged_) {
+    SortedState first = run;
+    first.Merge(*merged_);
+    merged_ = std::move(first);
+    return;
+  }
+  runs_.insert(runs_.begin(), &run);
+  size_ += run.size();
+}
+
+void SortedRuns::Clear() {
+  runs_.clear();
+  size_ = 0;
+  merged_.reset();
+}
+
+const SortedState& SortedRuns::Keep(SortedState run) {
+  kept_.push_front(std::move(run));
+  return kept_.front();
+}
+
+void SortedRuns::StartMerging() {
+  merged_.emplace();
+  merged_->Seal();
+  for (const SortedState* run : runs_) merged_->Merge(*run);
+  runs_.clear();
+  size_ = 0;
+}
+
+size_t SortedRuns::size() const {
+  const SortedState* whole = Whole();
+  return whole != nullptr ? whole->size() : size_;
+}
+
+double SortedRuns::NthValue(size_t k) const {
+  assert(k < size());
+  if (const SortedState* whole = Whole()) return whole->NthValue(k);
+  if (runs_.size() == 1) return runs_[0]->NthValue(k);
+  return Select(k);
+}
+
+double SortedRuns::Select(size_t k) const {
+  // Per run: the live range [lo, hi) and, each round, the values equal to
+  // the pivot [eq_lo, eq_hi). The live values of all runs form one
+  // contiguous stretch of the merged order; k is the rank within it.
+  struct Range {
+    const double* lo;
+    const double* hi;
+    const double* eq_lo;
+    const double* eq_hi;
+  };
+  std::vector<Range> live;
+  live.reserve(runs_.size());
+  for (const SortedState* run : runs_) {
+    const double* data = run->values().data();
+    live.push_back({data, data + run->values().size(), data, data});
+  }
+  for (;;) {
+    size_t longest = 0;
+    for (size_t i = 1; i < live.size(); ++i) {
+      if (live[i].hi - live[i].lo > live[longest].hi - live[longest].lo) {
+        longest = i;
+      }
+    }
+    const Range& pivot_run = live[longest];
+    assert(pivot_run.hi > pivot_run.lo);
+    const double* pivot_at = pivot_run.lo + (pivot_run.hi - pivot_run.lo) / 2;
+    const double pivot = *pivot_at;
+    size_t below = 0;
+    size_t through = 0;
+    for (size_t i = 0; i < live.size(); ++i) {
+      Range& r = live[i];
+      r.eq_lo = std::lower_bound(r.lo, r.hi, pivot);
+      r.eq_hi = std::upper_bound(r.eq_lo, r.hi, pivot);
+      if (i == longest) {
+        // The pivot's own run brackets it even if the values are not
+        // ordered (NaN), so every round shrinks the longest range.
+        r.eq_lo = std::min(r.eq_lo, pivot_at);
+        r.eq_hi = std::max(r.eq_hi, pivot_at + 1);
+      }
+      below += static_cast<size_t>(r.eq_lo - r.lo);
+      through += static_cast<size_t>(r.eq_hi - r.lo);
+    }
+    if (k < below) {
+      for (Range& r : live) r.hi = r.eq_lo;
+    } else if (k >= through) {
+      k -= through;
+      for (Range& r : live) r.lo = r.eq_hi;
+    } else {
+      // Equal values order by run, then by position: walk the runs.
+      k -= below;
+      for (const Range& r : live) {
+        const auto n = static_cast<size_t>(r.eq_hi - r.eq_lo);
+        if (k < n) return r.eq_lo[k];
+        k -= n;
+      }
+    }
+  }
+}
+
+double SortedRuns::MinValue() const {
+  if (const SortedState* whole = Whole()) {
+    return whole->size() == 0 ? 0.0 : whole->MinValue();
+  }
+  // The merged front: the smallest value, the earliest run among equals.
+  const SortedState* best = nullptr;
+  for (const SortedState* run : runs_) {
+    if (run->size() != 0 &&
+        (best == nullptr || run->MinValue() < best->MinValue())) {
+      best = run;
+    }
+  }
+  return best == nullptr ? 0.0 : best->MinValue();
+}
+
+double SortedRuns::MaxValue() const {
+  if (const SortedState* whole = Whole()) {
+    return whole->size() == 0 ? 0.0 : whole->MaxValue();
+  }
+  // The merged back: the largest value, the latest run among equals.
+  const SortedState* best = nullptr;
+  for (const SortedState* run : runs_) {
+    if (run->size() != 0 &&
+        (best == nullptr || !(run->MaxValue() < best->MaxValue()))) {
+      best = run;
+    }
+  }
+  return best == nullptr ? 0.0 : best->MaxValue();
+}
+
+double SortedRuns::Median() const {
+  const size_t n = size();
+  if (n == 0) return 0.0;
+  const SortedState* whole = Whole();
+  if (whole != nullptr && whole->sketch()) return whole->digest().Quantile(0.5);
+  if (n % 2 == 1) return NthValue(n / 2);
+  return 0.5 * (NthValue(n / 2 - 1) + NthValue(n / 2));
+}
+
+double SortedRuns::Quantile(double q) const {
+  const size_t n = size();
+  if (n == 0) return 0.0;
+  const SortedState* whole = Whole();
+  if (whole != nullptr && whole->sketch()) return whole->digest().Quantile(q);
+  if (q <= 0.0) return MinValue();
+  if (q >= 1.0) return MaxValue();
+  // Linear interpolation between closest ranks (type-7 quantile).
+  const double pos = q * static_cast<double>(n - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const double frac = pos - static_cast<double>(lo);
+  const double at_lo = NthValue(lo);
+  if (lo + 1 >= n) return at_lo;
+  const double at_hi = NthValue(lo + 1);
+  return at_lo + frac * (at_hi - at_lo);
+}
+
+SortedState SortedRuns::Merged() const {
+  if (const SortedState* whole = Whole()) return *whole;
+  SortedState out;
+  out.Seal();
+  for (const SortedState* run : runs_) out.Merge(*run);
+  return out;
 }
 
 int PartialAggregate::Add(double v) {
@@ -234,6 +399,13 @@ void PartialAggregate::Seal() {
 }
 
 void PartialAggregate::Merge(const PartialAggregate& other) {
+  MergeUnsorted(other);
+  if (MaskHas(mask_, OperatorKind::kNonDecomposableSort)) {
+    sorted_.Merge(other.sorted_);
+  }
+}
+
+void PartialAggregate::MergeUnsorted(const PartialAggregate& other) {
   assert((mask_ & ~other.mask_) == 0);
   if (MaskHas(mask_, OperatorKind::kSum)) sum_.Merge(other.sum_);
   if (MaskHas(mask_, OperatorKind::kCount)) count_.Merge(other.count_);
@@ -243,15 +415,43 @@ void PartialAggregate::Merge(const PartialAggregate& other) {
   if (MaskHas(mask_, OperatorKind::kDecomposableSort)) {
     minmax_.Merge(other.minmax_);
   }
-  if (MaskHas(mask_, OperatorKind::kNonDecomposableSort)) {
-    sorted_.Merge(other.sorted_);
-  }
   if (MaskHas(mask_, OperatorKind::kSumSquares)) {
     sum_squares_.Merge(other.sum_squares_);
   }
 }
 
-double PartialAggregate::Finalize(const AggregationSpec& spec) const {
+void PartialAggregate::MergeCompatible(PartialAggregate& dst,
+                                       SortedRuns& runs,
+                                       const PartialAggregate& src,
+                                       std::optional<SortedState> restored) {
+  const SortedState& run =
+      restored ? runs.Keep(std::move(*restored)) : src.sorted_;
+  if ((dst.mask_ & ~src.mask_) == 0) {
+    dst.MergeUnsorted(src);
+    if (MaskHas(dst.mask_, OperatorKind::kNonDecomposableSort)) {
+      runs.Append(run);
+    }
+    return;
+  }
+  // Narrowed to src's mask, with src's states first (see the two-argument
+  // form).
+  PartialAggregate narrowed(src.mask_);
+  narrowed.sum_ = src.sum_;
+  narrowed.sum_squares_ = src.sum_squares_;
+  narrowed.count_ = src.count_;
+  narrowed.multiply_ = src.multiply_;
+  narrowed.minmax_ = src.minmax_;
+  narrowed.MergeUnsorted(dst);
+  if (MaskHas(narrowed.mask_, OperatorKind::kNonDecomposableSort)) {
+    runs.Prepend(run);
+  } else {
+    runs.Clear();
+  }
+  dst = std::move(narrowed);
+}
+
+double PartialAggregate::Finalize(const AggregationSpec& spec,
+                                  const SortedRuns& runs) const {
   assert((ResolveNeeded(OperatorsFor(spec.fn), mask_) & ~mask_) == 0);
   switch (spec.fn) {
     case AggregationFunction::kSum:
@@ -272,18 +472,18 @@ double PartialAggregate::Finalize(const AggregationSpec& spec) const {
       // When a non-decomposable sort subsumed the decomposable one
       // (ReduceMask), extrema come from the sorted state.
       if (!MaskHas(mask_, OperatorKind::kDecomposableSort)) {
-        return sorted_.size() == 0 ? 0.0 : sorted_.MinValue();
+        return runs.MinValue();
       }
       return minmax_.min;
     case AggregationFunction::kMax:
       if (!MaskHas(mask_, OperatorKind::kDecomposableSort)) {
-        return sorted_.size() == 0 ? 0.0 : sorted_.MaxValue();
+        return runs.MaxValue();
       }
       return minmax_.max;
     case AggregationFunction::kMedian:
-      return sorted_.Median();
+      return runs.Median();
     case AggregationFunction::kQuantile:
-      return sorted_.Quantile(spec.quantile);
+      return runs.Quantile(spec.quantile);
     case AggregationFunction::kVariance:
     case AggregationFunction::kStdDev: {
       if (count_.count == 0) return 0.0;

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <forward_list>
 #include <limits>
 #include <optional>
 #include <vector>
@@ -81,7 +82,8 @@ struct MinMaxState {
 
 /// "Non-decomposable sort": keeps all events and performs one final sort
 /// when the slice ends. Shared between max, min, median, and quantile.
-/// Merging two sealed states merges their sorted runs.
+/// Merging two sealed states merges their sorted runs; window assembly
+/// reads ranks across the runs instead (SortedRuns).
 ///
 /// Two optional modes layer on top of the exact buffer:
 ///  - sketch mode (EnableSketch): values are folded into a t-digest instead
@@ -152,9 +154,11 @@ class SortedState {
   double MinValue() const { return digest_ ? digest_->min() : values_.front(); }
   double MaxValue() const { return digest_ ? digest_->max() : values_.back(); }
 
-  /// Median of the sealed values (mean of the middle two for even sizes).
+  /// Median of the sealed values (mean of the middle two for even sizes);
+  /// 0.0 when empty.
   double Median() const;
-  /// Nearest-rank-with-interpolation quantile, q in [0, 1], of sealed values.
+  /// Nearest-rank-with-interpolation quantile, q in [0, 1], of sealed
+  /// values; 0.0 when empty.
   double Quantile(double q) const;
 
   void SerializeTo(ByteWriter& out) const;
@@ -170,6 +174,75 @@ class SortedState {
   uint64_t represented_ = 0;
   /// Engaged iff sketch mode; copyable because slice records copy partials.
   std::optional<mem::TDigest> digest_;
+};
+
+/// A window's non-decomposable sort state, read across the sealed sort
+/// states ("runs") of the slices or composites it covers instead of merged
+/// into one array. Window assembly adds the runs in the order it visits
+/// them; the view answers size, ranks, extrema, median and quantile by
+/// selection: the middle element of the longest remaining run is the pivot,
+/// binary search counts the values below and up to it in every run, and the
+/// side holding the rank is kept. Equal values are ordered by run, then by
+/// position, as stable in-order merging (SortedState::Merge run by run)
+/// orders them, so every answer is bit-identical to reading the merged
+/// array — −0.0 and +0.0 included.
+///
+/// Sketch and sample-capped runs have no exact ranks to select from (digest
+/// merges re-cluster; thinning depends on merge order), so once the view
+/// holds one it folds its runs in order through SortedState::Merge and
+/// answers from that state, exactly as the merged array was computed.
+///
+/// Runs are borrowed and must outlive the view, except those handed to
+/// Keep(), which the view owns.
+class SortedRuns {
+ public:
+  SortedRuns() = default;
+  /// A view of one finished state, answered as is: a sketch stays that
+  /// digest (PartialAggregate::Finalize reads its own state this way).
+  explicit SortedRuns(const SortedState& whole) : whole_(&whole) {}
+  SortedRuns(const SortedRuns&) = delete;
+  SortedRuns& operator=(const SortedRuns&) = delete;
+
+  /// Adds a sealed run after every run held so far.
+  void Append(const SortedState& run);
+  /// Adds a sealed run before every run held so far, as merging the held
+  /// state into a copy of `run` orders them (MergeCompatible narrowing).
+  void Prepend(const SortedState& run);
+  /// Drops every run (the window's sort operator was narrowed away).
+  void Clear();
+  /// Owns `run` until the view is destroyed and returns it for
+  /// Append/Prepend — for a run read back from a spill file.
+  const SortedState& Keep(SortedState run);
+
+  size_t size() const;
+  /// k-th smallest value, k in [0, size()). Exact runs only.
+  double NthValue(size_t k) const;
+  /// Extrema; 0.0 when empty.
+  double MinValue() const;
+  double MaxValue() const;
+  /// Median (mean of the middle two for even sizes); 0.0 when empty.
+  double Median() const;
+  /// Type-7 quantile (linear interpolation between closest ranks), q in
+  /// [0, 1]; 0.0 when empty.
+  double Quantile(double q) const;
+
+  /// The runs folded in order through SortedState::Merge into an empty
+  /// sealed state: the merged array, for consumers that keep one
+  /// materialized state (factor composites, window partial sinks).
+  SortedState Merged() const;
+
+ private:
+  /// Folds the runs held so far into merged_; every later run merges there.
+  void StartMerging();
+  /// The one state that answers queries, or null while selecting.
+  const SortedState* Whole() const { return merged_ ? &*merged_ : whole_; }
+  double Select(size_t k) const;
+
+  std::vector<const SortedState*> runs_;  // equal values order by run
+  size_t size_ = 0;
+  const SortedState* whole_ = nullptr;
+  std::optional<SortedState> merged_;
+  std::forward_list<SortedState> kept_;
 };
 
 /// The shared per-slice aggregate: one state per *operator* active in the
@@ -227,7 +300,20 @@ class PartialAggregate {
   /// Final value of `spec` computed from the shared operator states.
   /// Requires that OperatorsFor(spec.fn) is a subset of mask() and, for
   /// sort-based functions, that the state is sealed.
-  double Finalize(const AggregationSpec& spec) const;
+  double Finalize(const AggregationSpec& spec) const {
+    return Finalize(spec, SortedRuns(sorted_));
+  }
+  /// Same, with sort-based functions answered from `runs` (window assembly;
+  /// see the three-argument MergeCompatible).
+  double Finalize(const AggregationSpec& spec, const SortedRuns& runs) const;
+
+  /// Installs runs.Merged() as the sort state (no-op without one): window
+  /// assembly's result kept as one materialized partial.
+  void AdoptMerged(const SortedRuns& runs) {
+    if (MaskHas(mask_, OperatorKind::kNonDecomposableSort)) {
+      sorted_ = runs.Merged();
+    }
+  }
 
   uint64_t event_count() const { return count_.count; }
 
@@ -261,7 +347,19 @@ class PartialAggregate {
     dst = std::move(narrowed);
   }
 
+  /// Window assembly's merge: MergeCompatible for every operator but the
+  /// sort, whose state joins `runs` (in merge order) instead of being
+  /// merged into dst; read the result with Finalize(spec, runs).
+  /// `restored`, when set, stands in for src's sort state (a run read back
+  /// from a spill file) and is kept alive by `runs`.
+  static void MergeCompatible(
+      PartialAggregate& dst, SortedRuns& runs, const PartialAggregate& src,
+      std::optional<SortedState> restored = std::nullopt);
+
  private:
+  /// Merges every operator of this partial's mask except the sort.
+  void MergeUnsorted(const PartialAggregate& other);
+
   OperatorMask mask_ = 0;
   SumState sum_;
   SumSquaresState sum_squares_;

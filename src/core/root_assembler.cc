@@ -140,7 +140,7 @@ void RootAssembler::InitializeSchedules(Timestamp first_start) {
   initialized_ = true;
 }
 
-void RootAssembler::AddPartial(const SliceRecord& msg) {
+void RootAssembler::AddPartial(SliceRecord msg) {
   if (!initialized_) {
     InitializeSchedules(msg.start);
   } else if (!any_closed_ && msg.start < first_start_) {
@@ -167,9 +167,9 @@ void RootAssembler::AddPartial(const SliceRecord& msg) {
     entry.start = msg.start;
     entry.end = msg.end;
     entry.last_event_ts = msg.last_event_ts;
-    entry.lanes = msg.lanes;
-    entry.lane_events = msg.lane_events;
-    entry.lane_last_ts = msg.lane_last_ts;
+    entry.lanes = std::move(msg.lanes);
+    entry.lane_events = std::move(msg.lane_events);
+    entry.lane_last_ts = std::move(msg.lane_last_ts);
     entry.reports = 1;
     ++stats_->slices_created;  // a new root slice
   } else {
@@ -236,7 +236,7 @@ void RootAssembler::AssembleWindow(uint32_t spec_idx, Timestamp ws,
     composite.lane_events.assign(group_.lanes.size(), 0);
     for (uint32_t lane = 0; lane < group_.lanes.size(); ++lane) {
       PartialAggregate acc(LaneMask(lane));
-      acc.Seal();
+      SortedRuns runs;
       for (auto it = entries_.lower_bound(EntryKey{ws, kNoTimestamp});
            it != entries_.end() && it->second.start < we; ++it) {
         const Entry& entry = it->second;
@@ -244,10 +244,11 @@ void RootAssembler::AssembleWindow(uint32_t spec_idx, Timestamp ws,
             entry.lane_events[lane] == 0) {
           continue;
         }
-        PartialAggregate::MergeCompatible(acc, entry.lanes[lane]);
+        PartialAggregate::MergeCompatible(acc, runs, entry.lanes[lane]);
         composite.lane_events[lane] += entry.lane_events[lane];
         ++stats_->merges;
       }
+      acc.AdoptMerged(runs);
       composite.lanes.push_back(std::move(acc));
     }
     own_composite = &(composites_[{ws, we}] = std::move(composite));
@@ -271,8 +272,10 @@ void RootAssembler::AssembleWindow(uint32_t spec_idx, Timestamp ws,
     if (needed == 0) continue;
     needed = ResolveNeeded(needed, LaneMask(lane));
 
+    // Sort runs stay in the entries and composites; the view selects the
+    // ranks each query reads across them.
     PartialAggregate acc(needed);
-    acc.Seal();
+    SortedRuns runs;
     uint64_t events = 0;
     auto merge_entries_in = [&](Timestamp lo, Timestamp hi) {
       for (auto it = entries_.lower_bound(EntryKey{lo, kNoTimestamp});
@@ -282,14 +285,15 @@ void RootAssembler::AssembleWindow(uint32_t spec_idx, Timestamp ws,
             entry.lane_events[lane] == 0) {
           continue;
         }
-        PartialAggregate::MergeCompatible(acc, entry.lanes[lane]);
+        PartialAggregate::MergeCompatible(acc, runs, entry.lanes[lane]);
         events += entry.lane_events[lane];
         ++stats_->merges;
       }
     };
     if (own_composite != nullptr) {
       if (own_composite->lane_events[lane] != 0) {
-        acc.Merge(own_composite->lanes[lane]);
+        PartialAggregate::MergeCompatible(acc, runs,
+                                          own_composite->lanes[lane]);
         events = own_composite->lane_events[lane];
         ++stats_->merges;
       }
@@ -300,7 +304,7 @@ void RootAssembler::AssembleWindow(uint32_t spec_idx, Timestamp ws,
         if (cit != composites_.end()) {
           const FactorComposite& c = cit->second;
           if (lane < c.lanes.size() && c.lane_events[lane] != 0) {
-            PartialAggregate::MergeCompatible(acc, c.lanes[lane]);
+            PartialAggregate::MergeCompatible(acc, runs, c.lanes[lane]);
             events += c.lane_events[lane];
             ++stats_->merges;
           }
@@ -320,7 +324,8 @@ void RootAssembler::AssembleWindow(uint32_t spec_idx, Timestamp ws,
         continue;
       }
       if (sink_) {
-        sink_({gq.query.id, ws, we, acc.Finalize(gq.query.agg), events});
+        sink_({gq.query.id, ws, we, acc.Finalize(gq.query.agg, runs),
+               events});
       }
       ++stats_->windows_fired;
     }

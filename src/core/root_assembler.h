@@ -25,8 +25,9 @@ class RootAssembler {
  public:
   RootAssembler(QueryGroup group, EngineStats* stats, WindowSink sink);
 
-  /// Folds one child slice partial into the matching root slice.
-  void AddPartial(const SliceRecord& msg);
+  /// Folds one child slice partial into the matching root slice; a new
+  /// root slice takes over the partial's lanes.
+  void AddPartial(SliceRecord msg);
 
   /// Partials that arrived at or behind the session scan's cursor (see
   /// AddPartial). Each one is still merged, but the scan has already

@@ -291,7 +291,7 @@ uint64_t StreamSlicer::SpillSealedLane(SliceRecord& rec, uint32_t lane) {
   return bytes;
 }
 
-void StreamSlicer::MergeRecordLane(PartialAggregate& acc,
+void StreamSlicer::MergeRecordLane(PartialAggregate& acc, SortedRuns& runs,
                                    const SliceRecord& rec, uint32_t lane) {
   if (gov_ != nullptr && !sealed_spills_.empty() && spill_ != nullptr) {
     const auto it = sealed_spills_.find({rec.id, lane});
@@ -299,18 +299,17 @@ void StreamSlicer::MergeRecordLane(PartialAggregate& acc,
       std::vector<double> values;
       const Status status = spill_->ReadRun(it->second.run, &values);
       if (status.ok()) {
-        // Merge through a sealed temporary so the record stays cold on
-        // disk: assembly only *reads* spilled state, it never re-charges
-        // the governor — a window close touches one lane's values at a
-        // time instead of re-residenting its whole span, which is what
-        // keeps peak residency at the budget rather than at the window
-        // footprint. The temporary copies the record's decomposable
-        // states, so the merge is byte-identical to the resident path.
+        // The restored run belongs to `runs` until the window is finalized
+        // and the record stays cold on disk: assembly only *reads* spilled
+        // state, it never re-charges the governor — a window close touches
+        // one lane's values at a time instead of re-residenting its whole
+        // span, which is what keeps peak residency at the budget rather
+        // than at the window footprint.
         const uint64_t bytes = values.size() * sizeof(double);
-        PartialAggregate cold = rec.lanes[lane];
-        cold.mutable_sorted_state().AdoptSorted(std::move(values),
-                                                it->second.represented);
-        PartialAggregate::MergeCompatible(acc, cold);
+        SortedState cold;
+        cold.AdoptSorted(std::move(values), it->second.represented);
+        PartialAggregate::MergeCompatible(acc, runs, rec.lanes[lane],
+                                          std::move(cold));
         gov_->NoteRestore(bytes);
         if (tracer_ != nullptr) {
           tracer_->Record(obs::SlicePhase::kRestore, rec.id, group_.id,
@@ -328,7 +327,7 @@ void StreamSlicer::MergeRecordLane(PartialAggregate& acc,
       WarnSpillError(status);
     }
   }
-  PartialAggregate::MergeCompatible(acc, rec.lanes[lane]);
+  PartialAggregate::MergeCompatible(acc, runs, rec.lanes[lane]);
 }
 
 uint64_t StreamSlicer::ShedBytes(uint64_t target) {
@@ -924,16 +923,17 @@ void StreamSlicer::CloseWindow(uint32_t spec_idx,
     composite.lane_events.assign(group_.lanes.size(), 0);
     for (uint32_t lane = 0; lane < group_.lanes.size(); ++lane) {
       PartialAggregate acc(LaneMask(lane));
-      acc.Seal();
+      SortedRuns runs;
       for (uint64_t id = lo; id <= hi && hi >= lo; ++id) {
         SliceRecord& rec = records_[id - base];
         if (lane >= rec.lane_events.size() || rec.lane_events[lane] == 0) {
           continue;
         }
-        MergeRecordLane(acc, rec, lane);
+        MergeRecordLane(acc, runs, rec, lane);
         composite.lane_events[lane] += rec.lane_events[lane];
         ++stats_->merges;
       }
+      acc.AdoptMerged(runs);
       composite.lanes.push_back(std::move(acc));
     }
     own_composite =
@@ -961,13 +961,16 @@ void StreamSlicer::CloseWindow(uint32_t spec_idx,
     if (needed == 0) continue;
     needed = ResolveNeeded(needed, LaneMask(lane));
 
+    // Sort runs stay in the records and composites; the view selects the
+    // ranks each query reads across them.
     PartialAggregate acc(needed);
-    acc.Seal();
+    SortedRuns runs;
     uint64_t events = 0;
     if (own_composite != nullptr) {
       // This window IS the composite: one merge of the lane-mask state.
       if (own_composite->lane_events[lane] != 0) {
-        acc.Merge(own_composite->lanes[lane]);
+        PartialAggregate::MergeCompatible(acc, runs,
+                                          own_composite->lanes[lane]);
         events = own_composite->lane_events[lane];
         ++stats_->merges;
       }
@@ -979,7 +982,7 @@ void StreamSlicer::CloseWindow(uint32_t spec_idx,
         if (cit != composites_.end()) {
           const FactorComposite& c = cit->second;
           if (lane < c.lanes.size() && c.lane_events[lane] != 0) {
-            PartialAggregate::MergeCompatible(acc, c.lanes[lane]);
+            PartialAggregate::MergeCompatible(acc, runs, c.lanes[lane]);
             events += c.lane_events[lane];
             ++stats_->merges;
           }
@@ -996,7 +999,7 @@ void StreamSlicer::CloseWindow(uint32_t spec_idx,
                 rec.lane_events[lane] == 0) {
               continue;
             }
-            MergeRecordLane(acc, rec, lane);
+            MergeRecordLane(acc, runs, rec, lane);
             events += rec.lane_events[lane];
             ++stats_->merges;
           }
@@ -1008,12 +1011,13 @@ void StreamSlicer::CloseWindow(uint32_t spec_idx,
         if (lane >= rec.lane_events.size() || rec.lane_events[lane] == 0) {
           continue;
         }
-        MergeRecordLane(acc, rec, lane);
+        MergeRecordLane(acc, runs, rec, lane);
         events += rec.lane_events[lane];
         ++stats_->merges;
       }
     }
     if (events == 0) continue;
+    if (window_partial_sink_) acc.AdoptMerged(runs);
 
     for (uint32_t qi : st.query_idxs) {
       const GroupedQuery& gq = group_.queries[qi];
@@ -1026,7 +1030,7 @@ void StreamSlicer::CloseWindow(uint32_t spec_idx,
                              events);
       } else if (window_sink_) {
         window_sink_({gq.query.id, window.start_ts, end_ts,
-                      acc.Finalize(gq.query.agg), events});
+                      acc.Finalize(gq.query.agg, runs), events});
       }
     }
   }

@@ -312,13 +312,12 @@ class StreamSlicer : public mem::SpillClient {
   uint64_t SpillOpenLane(uint32_t lane);
   /// Spills a sealed record's sorted values whole (read back on demand).
   uint64_t SpillSealedLane(SliceRecord& rec, uint32_t lane);
-  /// Window assembly's merge of one record lane into `acc`: resident lanes
-  /// merge directly; spilled lanes are read from their run into a sealed
-  /// temporary and merged from there, leaving the record cold on disk (no
-  /// governor charge — peak residency stays at the budget, not the window
-  /// footprint).
-  void MergeRecordLane(PartialAggregate& acc, const SliceRecord& rec,
-                       uint32_t lane);
+  /// Window assembly's merge of one record lane into `acc` and its sort
+  /// run into `runs`: a spilled lane's run is read back into a state that
+  /// `runs` owns, leaving the record cold on disk (no governor charge —
+  /// peak residency stays at the budget, not the window footprint).
+  void MergeRecordLane(PartialAggregate& acc, SortedRuns& runs,
+                       const SliceRecord& rec, uint32_t lane);
   /// Total bytes currently charged to the governor by this slicer.
   uint64_t ChargedBytes() const;
   void WarnSpillError(const Status& status);

@@ -125,17 +125,28 @@ struct FlightRecorder::Slot {
 };
 
 FlightRecorder::FlightRecorder(size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity),
-      slots_(new Slot[capacity == 0 ? 1 : capacity]) {}
+    : capacity_(capacity == 0 ? 1 : capacity) {}
 
-FlightRecorder::~FlightRecorder() { delete[] slots_; }
+FlightRecorder::~FlightRecorder() { delete[] slots_.load(); }
+
+FlightRecorder::Slot* FlightRecorder::Ring() {
+  Slot* slots = slots_.load(std::memory_order_acquire);
+  if (slots != nullptr) return slots;
+  auto* fresh = new Slot[capacity_];
+  if (slots_.compare_exchange_strong(slots, fresh,
+                                     std::memory_order_acq_rel)) {
+    return fresh;
+  }
+  delete[] fresh;  // another writer installed the ring first
+  return slots;
+}
 
 void FlightRecorder::Record(FlightEventKind kind, uint64_t a, uint64_t b,
                             Timestamp virtual_ts) {
   const uint64_t ticket = head_++;
   if (event_counter_ != nullptr) event_counter_->Add();
   if (ticket >= capacity_ && drop_counter_ != nullptr) drop_counter_->Add();
-  Slot& slot = slots_[ticket % capacity_];
+  Slot& slot = Ring()[ticket % capacity_];
   slot.kind.store(static_cast<uint64_t>(kind));
   slot.a.store(a);
   slot.b.store(b);
@@ -148,9 +159,11 @@ std::vector<FlightEvent> FlightRecorder::Snapshot() const {
   const uint64_t head = head_.load();
   const uint64_t n = head < capacity_ ? head : capacity_;
   std::vector<FlightEvent> out;
+  const Slot* slots = slots_.load(std::memory_order_acquire);
+  if (slots == nullptr) return out;
   out.reserve(n);
   for (uint64_t t = head - n; t < head; ++t) {
-    const Slot& slot = slots_[t % capacity_];
+    const Slot& slot = slots[t % capacity_];
     if (slot.seq.load() != t + 1) continue;  // torn by a ring wrap
     FlightEvent e;
     e.kind = static_cast<FlightEventKind>(slot.kind.load());

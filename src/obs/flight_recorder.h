@@ -1,6 +1,7 @@
 #ifndef DESIS_OBS_FLIGHT_RECORDER_H_
 #define DESIS_OBS_FLIGHT_RECORDER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -154,8 +155,12 @@ class FlightRecorder {
  private:
   struct Slot;
 
+  /// The ring, allocated by the first Record(): a deployed node that has
+  /// recorded nothing holds no ring.
+  Slot* Ring();
+
   const size_t capacity_;
-  Slot* slots_;
+  std::atomic<Slot*> slots_{nullptr};
   RelaxedU64 head_;
   uint32_t node_id_ = 0;
   uint8_t role_ = 255;

@@ -305,6 +305,42 @@ TEST(DesisCluster, MixedWindowsThroughIntermediateMatchSingleNodeExactly) {
   }
 }
 
+TEST(DesisCluster, HolisticSlidingWindowsMatchSingleNodeExactly) {
+  // fanin_holistic's window shapes, scaled to 50 µs slices: sliding windows
+  // cover two to five slices, so the root reads ranks across several sorted
+  // runs per window. MIN and MAX share the sort state with the quantiles.
+  // Integer values keep every aggregate exact.
+  using F = AggregationFunction;
+  const std::vector<Query> queries = {
+      MakeQuery(1, WindowSpec::Sliding(100, 50), F::kMedian),
+      MakeQuery(2, WindowSpec::Sliding(150, 50), F::kQuantile,
+                Predicate::All(), 0.9),
+      MakeQuery(3, WindowSpec::Sliding(200, 50), F::kQuantile,
+                Predicate::All(), 0.99),
+      MakeQuery(4, WindowSpec::Sliding(250, 50), F::kMedian),
+      MakeQuery(5, WindowSpec::Sliding(200, 50), F::kMin),
+      MakeQuery(6, WindowSpec::Sliding(250, 50), F::kMax),
+      MakeQuery(7, WindowSpec::Tumbling(100), F::kQuantile, Predicate::All(),
+                0.99),
+      MakeQuery(8, WindowSpec::Tumbling(250), F::kMedian),
+      MakeQuery(9, WindowSpec::Tumbling(100), F::kSum),
+      MakeQuery(10, WindowSpec::Sliding(150, 50), F::kQuantile,
+                Predicate::KeyEquals(2), 0.9),
+  };
+  const auto streams = RandomStreams(2, 3'000, 3'000, 61, /*keys=*/4);
+  const ResultMap want = RunReference(queries, streams, 3'000);
+  ASSERT_EQ(want.size(), queries.size());
+  for (const bool threaded : {false, true}) {
+    SCOPED_TRACE(threaded ? "threaded" : "inline");
+    Cluster cluster(ClusterSystem::kDesis, {2, 1});
+    if (threaded) cluster.set_transport(std::make_unique<ThreadedTransport>());
+    ASSERT_TRUE(cluster.Configure(queries).ok());
+    const ResultMap got = RunCluster(cluster, streams, 50, 3'000);
+    EXPECT_EQ(WindowCount(got), WindowCount(want));
+    ExpectSameResults(got, want, /*tol=*/0.0);
+  }
+}
+
 TEST(DesisCluster, DeeperTopologyGivesSameResults) {
   std::vector<Query> queries = {
       MakeQuery(1, WindowSpec::Tumbling(100), AggregationFunction::kAverage)};

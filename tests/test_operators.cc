@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
+#include "common/rng.h"
 #include "common/serde.h"
 #include "core/aggregation.h"
 
@@ -239,6 +242,207 @@ TEST(PartialAggregate, EmptyPartialSerializeRoundTrip) {
   ByteReader in(out.bytes());
   PartialAggregate back = PartialAggregate::DeserializeFrom(in);
   EXPECT_DOUBLE_EQ(back.Finalize({AggregationFunction::kSum, 0}), 0.0);
+}
+
+TEST(PartialAggregate, EmptySortStateFinalizesToZero) {
+  PartialAggregate agg(MaskOf(OperatorKind::kNonDecomposableSort));
+  agg.Seal();
+  EXPECT_EQ(agg.Finalize({AggregationFunction::kMedian, 0}), 0.0);
+  EXPECT_EQ(agg.Finalize({AggregationFunction::kQuantile, 0.9}), 0.0);
+  EXPECT_EQ(agg.Finalize({AggregationFunction::kMin, 0}), 0.0);
+  EXPECT_EQ(agg.Finalize({AggregationFunction::kMax, 0}), 0.0);
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+SortedState SealedRun(const std::vector<double>& values, size_t cap = 0) {
+  SortedState run;
+  run.set_sample_cap(cap);
+  run.AddN(values.data(), values.size());
+  run.Seal();
+  return run;
+}
+
+// Sorted-array median and type-7 quantile, written out as the oracle.
+double OracleMedian(const std::vector<double>& v) {
+  const size_t n = v.size();
+  if (n == 0) return 0.0;
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+double OracleQuantile(const std::vector<double>& v, double q) {
+  if (v.empty()) return 0.0;
+  if (q <= 0.0) return v.front();
+  if (q >= 1.0) return v.back();
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<size_t>(pos);
+  const double frac = pos - static_cast<double>(lo);
+  if (lo + 1 >= v.size()) return v[lo];
+  return v[lo] + frac * (v[lo + 1] - v[lo]);
+}
+
+constexpr double kQuantiles[] = {0, 1e-9, 0.25, 0.5, 0.75, 0.9, 0.99, 1};
+
+// Every read of `runs` must equal, bit for bit, the same read of the array
+// `merged` (the in-order merge of the same runs).
+void ExpectReadsLikeMerged(const SortedRuns& runs, const SortedState& merged) {
+  const std::vector<double>& v = merged.values();
+  ASSERT_EQ(runs.size(), v.size());
+  for (size_t k = 0; k < v.size(); ++k) {
+    ASSERT_TRUE(SameBits(runs.NthValue(k), v[k])) << "rank " << k;
+  }
+  EXPECT_TRUE(SameBits(runs.MinValue(), v.empty() ? 0.0 : v.front()));
+  EXPECT_TRUE(SameBits(runs.MaxValue(), v.empty() ? 0.0 : v.back()));
+  EXPECT_TRUE(SameBits(runs.Median(), OracleMedian(v)));
+  for (double q : kQuantiles) {
+    EXPECT_TRUE(SameBits(runs.Quantile(q), OracleQuantile(v, q))) << "q=" << q;
+  }
+}
+
+TEST(SortedRuns, SelectionReadsLikeTheInOrderMerge) {
+  Rng rng(20231);
+  for (int trial = 0; trial < 60; ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    // Even trials draw from 43 values (heavy duplicates), odd ones from a
+    // wide range; both draw negatives and both zeros often.
+    const bool narrow = trial % 2 == 0;
+    auto draw = [&]() -> double {
+      switch (rng.NextBounded(8)) {
+        case 0: return -0.0;
+        case 1: return 0.0;
+        default:
+          return narrow
+                     ? static_cast<double>(
+                           static_cast<int64_t>(rng.NextBounded(41)) - 20) /
+                           2
+                     : static_cast<double>(
+                           static_cast<int64_t>(rng.NextBounded(1 << 20)) -
+                           (1 << 19)) /
+                           7;
+      }
+    };
+    std::vector<SortedState> states(rng.NextBounded(7));
+    for (SortedState& state : states) {
+      std::vector<double> values(rng.NextBounded(2001));
+      for (double& v : values) v = draw();
+      state = SealedRun(values);
+    }
+    // Runs join in visit order; a prepended run stands for
+    // MergeCompatible's narrowing, which merges into a copy of the source.
+    SortedRuns runs;
+    SortedState merged;
+    merged.Seal();
+    for (const SortedState& state : states) {
+      if (rng.NextBounded(4) == 0) {
+        runs.Prepend(state);
+        SortedState first = state;
+        first.Merge(merged);
+        merged = std::move(first);
+      } else {
+        runs.Append(state);
+        merged.Merge(state);
+      }
+    }
+    ExpectReadsLikeMerged(runs, merged);
+  }
+}
+
+TEST(SortedRuns, SketchRunMergesInOrder) {
+  Rng rng(7);
+  auto values = [&](size_t n) {
+    std::vector<double> v(n);
+    for (double& x : v) x = static_cast<double>(rng.NextBounded(1000));
+    return v;
+  };
+  SortedState sketch;
+  sketch.EnableSketch(mem::TDigest::kDefaultCompression);
+  const std::vector<double> sketched = values(5000);
+  sketch.AddN(sketched.data(), sketched.size());
+  sketch.Seal();
+  const SortedState states[] = {SealedRun(values(800)), sketch,
+                                SealedRun(values(1200))};
+  SortedRuns runs;
+  SortedState merged;
+  merged.Seal();
+  for (const SortedState& state : states) {
+    runs.Append(state);
+    merged.Merge(state);
+  }
+  ASSERT_TRUE(merged.sketch());
+  EXPECT_EQ(runs.size(), merged.size());
+  EXPECT_TRUE(SameBits(runs.MinValue(), merged.digest().min()));
+  EXPECT_TRUE(SameBits(runs.MaxValue(), merged.digest().max()));
+  EXPECT_TRUE(SameBits(runs.Median(), merged.digest().Quantile(0.5)));
+  for (double q : kQuantiles) {
+    EXPECT_TRUE(SameBits(runs.Quantile(q), merged.digest().Quantile(q)))
+        << "q=" << q;
+  }
+}
+
+TEST(SortedRuns, CappedRunsMergeInOrder) {
+  Rng rng(11);
+  std::vector<SortedState> states;
+  for (size_t cap : {0, 64, 0, 16, 64}) {
+    std::vector<double> values(300 + rng.NextBounded(300));
+    for (double& v : values) {
+      v = rng.NextBounded(5) == 0
+              ? -0.0
+              : static_cast<double>(rng.NextBounded(50)) - 25;
+    }
+    states.push_back(SealedRun(values, cap));
+    if (cap != 0) {
+      ASSERT_EQ(states.back().size(), cap);
+    }
+  }
+  SortedRuns runs;
+  SortedState merged;
+  merged.Seal();
+  for (const SortedState& state : states) {
+    runs.Append(state);
+    merged.Merge(state);
+  }
+  ExpectReadsLikeMerged(runs, merged);
+}
+
+TEST(PartialAggregate, WindowMergeMatchesInOrderMergeWhenNarrowed) {
+  // The second partial lacks COUNT (sealed before a runtime widening), so
+  // the window narrows to it and its sort values come first among equals:
+  // MIN must read its -0.0, not the first partial's +0.0.
+  const OperatorMask narrow = MaskOf(OperatorKind::kSum) |
+                              MaskOf(OperatorKind::kNonDecomposableSort);
+  const OperatorMask wide =
+      static_cast<OperatorMask>(narrow | MaskOf(OperatorKind::kCount));
+  auto partial = [](OperatorMask mask, std::vector<double> values) {
+    PartialAggregate p(mask);
+    p.AddN(values.data(), values.size());
+    p.Seal();
+    return p;
+  };
+  const PartialAggregate partials[] = {partial(wide, {0.0, 3.0, 1.0}),
+                                       partial(narrow, {-0.0, 2.0}),
+                                       partial(wide, {5.0, 0.0, 4.0})};
+  PartialAggregate merged(wide);
+  merged.Seal();
+  PartialAggregate window(wide);
+  SortedRuns runs;
+  for (const PartialAggregate& p : partials) {
+    PartialAggregate::MergeCompatible(merged, p);
+    PartialAggregate::MergeCompatible(window, runs, p);
+  }
+  ASSERT_EQ(window.mask(), narrow);
+  ASSERT_EQ(merged.mask(), narrow);
+  using F = AggregationFunction;
+  for (const AggregationSpec spec :
+       {AggregationSpec{F::kSum, 0}, AggregationSpec{F::kMin, 0},
+        AggregationSpec{F::kMax, 0}, AggregationSpec{F::kMedian, 0},
+        AggregationSpec{F::kQuantile, 0.3}}) {
+    EXPECT_TRUE(
+        SameBits(window.Finalize(spec, runs), merged.Finalize(spec)))
+        << ToString(spec.fn);
+  }
+  EXPECT_TRUE(SameBits(window.Finalize({F::kMin, 0}, runs), -0.0));
 }
 
 // Property sweep: merged quantiles equal whole-set quantiles for any split.
