@@ -35,7 +35,6 @@ void SortedState::Seal() {
     std::sort(values_.begin(), values_.end());
     represented_ = values_.size();
     sealed_ = true;
-    ThinToCap();
   }
 }
 
@@ -70,22 +69,6 @@ void SortedState::AdoptSorted(std::vector<double> sorted,
   values_ = std::move(sorted);
   represented_ = represented;
   sealed_ = true;
-  ThinToCap();
-}
-
-void SortedState::ThinToCap() {
-  if (sample_cap_ == 0 || values_.size() <= sample_cap_) return;
-  // Stride-sample the sorted values: rank structure (and thus quantiles)
-  // is preserved up to O(1/cap) rank error.
-  std::vector<double> kept;
-  kept.reserve(sample_cap_);
-  const double stride = static_cast<double>(values_.size()) /
-                        static_cast<double>(sample_cap_);
-  for (size_t i = 0; i < sample_cap_; ++i) {
-    kept.push_back(values_[static_cast<size_t>(
-        (static_cast<double>(i) + 0.5) * stride)]);
-  }
-  values_ = std::move(kept);
 }
 
 void SortedState::Merge(const SortedState& other) {
@@ -115,7 +98,6 @@ void SortedState::Merge(const SortedState& other) {
   values_.insert(values_.end(), other.values_.begin(), other.values_.end());
   std::inplace_merge(values_.begin(), values_.begin() + mid, values_.end());
   represented_ += other.represented_;
-  ThinToCap();
 }
 
 double SortedState::Median() const {
@@ -139,7 +121,6 @@ void SortedState::SerializeTo(ByteWriter& out) const {
     return;
   }
   out.WriteU64(represented_);
-  out.WriteU64(sample_cap_);
   out.WritePodVector(values_);
 }
 
@@ -153,14 +134,13 @@ SortedState SortedState::DeserializeFrom(ByteReader& in) {
     return state;
   }
   state.represented_ = in.ReadU64();
-  state.sample_cap_ = in.ReadU64();
   state.values_ = in.ReadPodVector<double>();
   return state;
 }
 
 void SortedRuns::Append(const SortedState& run) {
   assert(whole_ == nullptr && run.sealed());
-  if (!merged_ && (run.sketch() || run.sample_cap() != 0)) StartMerging();
+  if (!merged_ && run.sketch()) StartMerging();
   if (merged_) {
     merged_->Merge(run);
     return;
@@ -171,7 +151,7 @@ void SortedRuns::Append(const SortedState& run) {
 
 void SortedRuns::Prepend(const SortedState& run) {
   assert(whole_ == nullptr && run.sealed());
-  if (!merged_ && (run.sketch() || run.sample_cap() != 0)) StartMerging();
+  if (!merged_ && run.sketch()) StartMerging();
   if (merged_) {
     SortedState first = run;
     first.Merge(*merged_);

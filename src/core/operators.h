@@ -97,15 +97,8 @@ class SortedState {
   void Add(double v);
   void AddN(const double* v, size_t n);
   /// Sorts the buffered values; called once when the owning slice ends.
-  /// With a sample cap set, the sealed state is thinned to at most `cap`
-  /// quantile-preserving stride samples (approximate-quantile extension).
   void Seal();
   void Merge(const SortedState& other);
-
-  /// Enables approximate mode: sealed states keep at most `cap` values.
-  /// Estimated quantile error is O(1/cap). 0 = exact (default).
-  void set_sample_cap(size_t cap) { sample_cap_ = cap; }
-  size_t sample_cap() const { return sample_cap_; }
 
   /// Switches this (empty, unsealed) state to sketch mode: values feed a
   /// t-digest and the exact buffer stays empty forever.
@@ -138,7 +131,7 @@ class SortedState {
   void PutBackRun(std::vector<double> values) {
     values_ = std::move(values);
   }
-  /// Raw values this state stands for (== size() unless thinned/spilled).
+  /// Raw values this state stands for (== size() unless spilled).
   uint64_t represented() const { return represented_; }
 
   bool sealed() const { return sealed_; }
@@ -165,12 +158,9 @@ class SortedState {
   static SortedState DeserializeFrom(ByteReader& in);
 
  private:
-  void ThinToCap();
-
   std::vector<double> values_;
   bool sealed_ = false;
-  size_t sample_cap_ = 0;
-  /// Number of raw values this (possibly thinned) state represents.
+  /// Number of raw values this (possibly spilled) state represents.
   uint64_t represented_ = 0;
   /// Engaged iff sketch mode; copyable because slice records copy partials.
   std::optional<mem::TDigest> digest_;
@@ -187,10 +177,10 @@ class SortedState {
 /// orders them, so every answer is bit-identical to reading the merged
 /// array — −0.0 and +0.0 included.
 ///
-/// Sketch and sample-capped runs have no exact ranks to select from (digest
-/// merges re-cluster; thinning depends on merge order), so once the view
-/// holds one it folds its runs in order through SortedState::Merge and
-/// answers from that state, exactly as the merged array was computed.
+/// Sketch runs have no exact ranks to select from (digest merges
+/// re-cluster), so once the view holds one it folds its runs in order
+/// through SortedState::Merge and answers from that state, exactly as the
+/// merged array was computed.
 ///
 /// Runs are borrowed and must outlive the view, except those handed to
 /// Keep(), which the view owns.
@@ -251,10 +241,7 @@ class SortedRuns {
 class PartialAggregate {
  public:
   PartialAggregate() = default;
-  explicit PartialAggregate(OperatorMask mask, size_t quantile_sample_cap = 0)
-      : mask_(mask) {
-    if (quantile_sample_cap > 0) sorted_.set_sample_cap(quantile_sample_cap);
-  }
+  explicit PartialAggregate(OperatorMask mask) : mask_(mask) {}
 
   OperatorMask mask() const { return mask_; }
 

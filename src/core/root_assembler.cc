@@ -260,6 +260,7 @@ void RootAssembler::AssembleWindow(uint32_t spec_idx, Timestamp ws,
           ? specs_[static_cast<size_t>(feeder)].spec.length
           : 0;
 
+  bool emitted = false;
   for (uint32_t lane = 0; lane < group_.lanes.size(); ++lane) {
     OperatorMask needed = 0;
     for (uint32_t qi : st.query_idxs) {
@@ -328,7 +329,13 @@ void RootAssembler::AssembleWindow(uint32_t spec_idx, Timestamp ws,
                events});
       }
       ++stats_->windows_fired;
+      emitted = true;
     }
+  }
+  // Every caller runs inside AdvanceTo, so last_advanced_ is the watermark
+  // that released this window.
+  if (emitted && release_lag_ != nullptr) {
+    release_lag_->Record(last_advanced_ - we);
   }
 }
 

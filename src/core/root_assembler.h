@@ -10,6 +10,7 @@
 #include "core/query_analyzer.h"
 #include "core/slicer.h"
 #include "core/stats.h"
+#include "obs/metrics.h"
 
 namespace desis {
 
@@ -38,6 +39,11 @@ class RootAssembler {
   /// Closes every window ending at or before `watermark` (use the minimum
   /// over all children's watermarks).
   void AdvanceTo(Timestamp watermark);
+
+  /// Attaches the root.release_lag_us histogram: every window that emits a
+  /// result records how far the watermark that closed it had passed its
+  /// end, in event-time µs (one sample per window). Null detaches.
+  void set_release_lag(obs::Histogram* hist) { release_lag_ = hist; }
 
   const QueryGroup& group() const { return group_; }
   size_t pending_entries() const { return entries_.size(); }
@@ -118,6 +124,7 @@ class RootAssembler {
   std::map<EntryKey, Entry> entries_;
   EntryKey session_cursor_{kNoTimestamp, kNoTimestamp};
   uint64_t cursor_violations_ = 0;
+  obs::Histogram* release_lag_ = nullptr;
   bool initialized_ = false;
   bool any_closed_ = false;
   Timestamp first_start_ = kMaxTimestamp;

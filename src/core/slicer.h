@@ -181,12 +181,24 @@ class StreamSlicer : public mem::SpillClient {
   Timestamp MaxFixedWindowExtent() const;
 
   /// The timestamp up to which everything has been sealed (and shipped via
-  /// the slice sink): decentralized nodes must advertise this — not the raw
-  /// processed timestamp — as their watermark, or the root would terminate
-  /// windows while events still sit in an unsealed slice (§5.1.2).
+  /// the slice sink): the start of the open slice, or the last processed
+  /// timestamp when the open slice is empty. A group with session,
+  /// user-defined or count windows caps its node's advertised watermark at
+  /// this value, or the root would close a window while its events still
+  /// sit in the unsealed slice (§5.1.2). A FixedWindowsOnly() group need
+  /// not: AdvanceTo(w) fires every boundary at or below w, so none of its
+  /// windows ends between the open slice's start and w, and the slice
+  /// itself ends beyond w (DesisLocalNode::Advance).
   /// O(1): `current_slice_events_` tracks the open slice's fold count.
   Timestamp SafeWatermark() const {
     return current_slice_events_ == 0 ? last_seen_ts_ : current_slice_start_;
+  }
+
+  /// True when every spec is a tumbling or sliding time window. Read on
+  /// every advance: a runtime session, user-defined or count query turns it
+  /// off.
+  bool FixedWindowsOnly() const {
+    return session_lanes_.empty() && ud_specs_.empty() && count_specs_.empty();
   }
 
  private:

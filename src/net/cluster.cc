@@ -947,6 +947,16 @@ void Cluster::Advance(Timestamp watermark) {
   }
 }
 
+uint64_t Cluster::cursor_violations() const {
+  if (system_ != ClusterSystem::kDesis || root_raw_ == nullptr) return 0;
+  // Read on the root's delivery thread: the count is plain root state.
+  const auto* root = static_cast<const DesisRootNode*>(root_raw_);
+  uint64_t count = 0;
+  transport_->ExecuteSync(root_raw_,
+                          [root, &count] { count = root->cursor_violations(); });
+  return count;
+}
+
 const mem::MemoryGovernor* Cluster::LocalMemoryGovernor(int local_idx) const {
   std::shared_lock<std::shared_mutex> lock(membership_mu_);
   if (system_ != ClusterSystem::kDesis || local_idx < 0 ||

@@ -188,6 +188,11 @@ class Cluster {
     return local_orphaned_[static_cast<size_t>(idx)];
   }
 
+  /// Partials the root merged at or behind a session scan's cursor
+  /// (RootAssembler::cursor_violations); non-zero means a sender broke the
+  /// watermark-pinning invariant. 0 for the baseline systems.
+  uint64_t cursor_violations() const;
+
   /// Recovery counters (deterministic under SimLink virtual time; also in
   /// the StatsReport() "recovery" section).
   uint64_t recovery_reattaches() const { return recovery_reattaches_; }

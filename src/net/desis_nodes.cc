@@ -146,7 +146,7 @@ void DesisLocalNode::IngestBatch(const Event* events, size_t count) {
 }
 
 void DesisLocalNode::ShipSlice(uint32_t group_id, const SliceRecord& rec) {
-  SlicePartialMsg msg = SlicePartialMsg::FromRecord(rec, last_ts_);
+  SlicePartialMsg msg = SlicePartialMsg::FromRecord(rec);
   ByteWriter out;
   msg.SerializeTo(out);
   Message wire{MessageType::kSlicePartial, group_id, out.TakeBytes()};
@@ -184,14 +184,25 @@ void DesisLocalNode::ReAdvertiseWatermark() {
 
 void DesisLocalNode::Advance(Timestamp watermark) {
   Metered([&] {
+    // Advertise only what the root may close. A session or user-defined
+    // group caps the watermark at its SafeWatermark(): a window may still
+    // end inside its unsealed slice. A fixed-window group has fired every
+    // boundary up to `watermark`, so none of its windows ends between its
+    // open slice's start and the raw watermark; the furthest such group's
+    // SafeWatermark() holds for all of them (DESIGN.md §4).
     Timestamp safe = watermark;
+    Timestamp fixed = kNoTimestamp;
     for (auto& [gid, slicer] : slicers_) {
       slicer->AdvanceTo(watermark);
-      // Advertise only what has been sealed and shipped: events in an
-      // unsealed slice (e.g. a running session) are not upstream yet.
       const Timestamp slicer_safe = slicer->SafeWatermark();
-      if (slicer_safe != kNoTimestamp) safe = std::min(safe, slicer_safe);
+      if (slicer_safe == kNoTimestamp) continue;
+      if (slicer->FixedWindowsOnly()) {
+        fixed = std::max(fixed, slicer_safe);
+      } else {
+        safe = std::min(safe, slicer_safe);
+      }
     }
+    if (fixed != kNoTimestamp) safe = std::min(safe, fixed);
     for (ForwardGroup& fg : forward_groups_) FlushForwardBatch(fg.group.id);
     SendToParent({MessageType::kWatermark, 0, EncodeWatermark(safe)});
     NoteWatermarkAdvance(safe);
@@ -335,7 +346,6 @@ void DesisIntermediateNode::HandleMessage(const Message& message,
           entry.lane_last_ts.push_back(msg.lane_last_ts[i]);
         }
         entry.last_event_ts = std::max(entry.last_event_ts, msg.last_event_ts);
-        entry.watermark = std::min(entry.watermark, msg.watermark);
         for (const EpInfo& ep : msg.eps) {
           bool known = false;
           for (const EpInfo& have : entry.eps) {
@@ -426,10 +436,27 @@ bool DesisRootNode::AddQueryToGroup(uint32_t group_id, const Query& q,
 }
 
 bool DesisRootNode::RemoveGroup(uint32_t group_id) {
-  return assemblers_.erase(group_id) > 0 || root_only_.erase(group_id) > 0;
+  auto it = assemblers_.find(group_id);
+  if (it != assemblers_.end()) {
+    retired_cursor_violations_ += it->second->cursor_violations();
+    assemblers_.erase(it);
+    return true;
+  }
+  return root_only_.erase(group_id) > 0;
+}
+
+uint64_t DesisRootNode::cursor_violations() const {
+  uint64_t total = retired_cursor_violations_;
+  for (const auto& [gid, assembler] : assemblers_) {
+    total += assembler->cursor_violations();
+  }
+  return total;
 }
 
 void DesisRootNode::OnObsAttached() {
+  release_lag_ = nullptr;
+  release_lag_pending_ = obs_registry_ != nullptr;
+  for (auto& [gid, assembler] : assemblers_) assembler->set_release_lag(nullptr);
   for (auto& [gid, rg] : root_only_) {
     rg.slicer->set_obs(tracer_, id(), obs::kSpanRoleRoot);
     if (gid < SlicingEngine::kMaxInstrumentedGroups) {
@@ -463,11 +490,10 @@ void DesisRootNode::AddGroups(const std::vector<QueryGroup>& groups) {
       root_only_.emplace(group.id,
                          RootOnlyGroup{std::move(slicer), {}, kNoTimestamp});
     } else {
-      assemblers_.emplace(
-          group.id,
-          std::make_unique<RootAssembler>(
-              group, &stats_,
-              [this](const WindowResult& r) { EmitResult(r); }));
+      auto assembler = std::make_unique<RootAssembler>(
+          group, &stats_, [this](const WindowResult& r) { EmitResult(r); });
+      assembler->set_release_lag(release_lag_);
+      assemblers_.emplace(group.id, std::move(assembler));
     }
   }
 }
@@ -507,6 +533,17 @@ void DesisRootNode::OnChildDetached(int child_index) {
 void DesisRootNode::AdvanceAll(Timestamp watermark) {
   if (watermark == kNoTimestamp || watermark <= advanced_wm_) return;
   advanced_wm_ = watermark;
+  if (release_lag_pending_) {
+    // Registered here rather than at attach, so deploying a cluster costs
+    // what it did without the probe; the series fills only as windows close.
+    release_lag_pending_ = false;
+    release_lag_ = obs_registry_->GetHistogram(
+        "root.release_lag_us",
+        {{"node", std::to_string(id())}, {"role", ToString(role())}}, "us");
+    for (auto& [gid, assembler] : assemblers_) {
+      assembler->set_release_lag(release_lag_);
+    }
+  }
   // Everything at or below the new watermark is consumed (the pinning
   // invariant guarantees no partial for it is still in flight), so the
   // advance doubles as the cumulative ack cascaded toward the leaves.

@@ -173,11 +173,15 @@ class DesisRootNode : public Node {
   ReplayFrontiers FrontierSnapshot() const;
   /// Messages dropped whole because every origin was already applied.
   uint64_t stale_dropped() const { return stale_dropped_; }
+  /// RootAssembler::cursor_violations() summed over every group this root
+  /// has assembled, torn-down groups included.
+  uint64_t cursor_violations() const;
 
  protected:
   void HandleMessage(const Message& message, int child_index) override;
   void OnChildDetached(int child_index) override;
-  /// Forwards the tracer to the root-only groups' local slicers.
+  /// Forwards the tracer to the root-only groups' local slicers; with a
+  /// registry, root.release_lag_us is registered at the first advance.
   void OnObsAttached() override;
   /// Forwards the flight recorder to the root-only groups' slicers.
   void OnFlightAttached() override;
@@ -195,6 +199,7 @@ class DesisRootNode : public Node {
   WindowSink sink_;
   uint64_t results_ = 0;
   std::map<uint32_t, std::unique_ptr<RootAssembler>> assemblers_;
+  uint64_t retired_cursor_violations_ = 0;  // of removed assemblers
   struct RootOnlyGroup {
     std::unique_ptr<StreamSlicer> slicer;
     std::vector<Event> pending;  // reorder buffer across children
@@ -203,6 +208,8 @@ class DesisRootNode : public Node {
   std::map<uint32_t, RootOnlyGroup> root_only_;
   std::vector<Timestamp> child_wms_;
   Timestamp advanced_wm_ = kNoTimestamp;
+  obs::Histogram* release_lag_ = nullptr;  // root.release_lag_us
+  bool release_lag_pending_ = false;       // registry attached, not yet used
 
   // Crash recovery: exact per-(group, origin) applied-unit tracking.
   // Units can reach the root out of order after a reattach (a replayed

@@ -45,14 +45,12 @@ Message DecodeFrame(const std::vector<uint8_t>& frame) {
   return message;
 }
 
-SlicePartialMsg SlicePartialMsg::FromRecord(const SliceRecord& rec,
-                                            Timestamp watermark) {
+SlicePartialMsg SlicePartialMsg::FromRecord(const SliceRecord& rec) {
   SlicePartialMsg msg;
   msg.slice_id = rec.id;
   msg.start = rec.start;
   msg.end = rec.end;
   msg.last_event_ts = rec.last_event_ts;
-  msg.watermark = watermark;
   msg.lanes = rec.lanes;
   msg.lane_events = rec.lane_events;
   msg.lane_last_ts = rec.lane_last_ts;
@@ -65,7 +63,6 @@ void SlicePartialMsg::SerializeTo(ByteWriter& out) const {
   out.WriteI64(start);
   out.WriteI64(end);
   out.WriteI64(last_event_ts);
-  out.WriteI64(watermark);
   out.WriteU32(static_cast<uint32_t>(lanes.size()));
   for (size_t i = 0; i < lanes.size(); ++i) {
     out.WriteU64(lane_events[i]);
@@ -86,7 +83,6 @@ SlicePartialMsg SlicePartialMsg::DeserializeFrom(ByteReader& in) {
   msg.start = in.ReadI64();
   msg.end = in.ReadI64();
   msg.last_event_ts = in.ReadI64();
-  msg.watermark = in.ReadI64();
   const uint32_t lanes = in.ReadU32();
   msg.lanes.reserve(lanes);
   msg.lane_events.reserve(lanes);

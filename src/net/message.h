@@ -82,8 +82,6 @@ struct SlicePartialMsg {
   Timestamp start = 0;
   Timestamp end = 0;
   Timestamp last_event_ts = kNoTimestamp;
-  /// Sender's event-time watermark when the slice was shipped.
-  Timestamp watermark = kNoTimestamp;
   std::vector<PartialAggregate> lanes;
   std::vector<uint64_t> lane_events;
   std::vector<Timestamp> lane_last_ts;
@@ -95,11 +93,9 @@ struct SlicePartialMsg {
     return total;
   }
 
-  static SlicePartialMsg FromRecord(const SliceRecord& rec,
-                                    Timestamp watermark);
-  /// Inverse of FromRecord (the shipped watermark is transport metadata and
-  /// is dropped): the root hands plain SliceRecords to the core-side
-  /// RootAssembler. Rvalue-qualified — moves the lane payload out.
+  static SlicePartialMsg FromRecord(const SliceRecord& rec);
+  /// Inverse of FromRecord: the root hands plain SliceRecords to the
+  /// core-side RootAssembler. Rvalue-qualified — moves the lane payload out.
   SliceRecord ToRecord() && {
     SliceRecord rec;
     rec.id = slice_id;

@@ -3,13 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/engine.h"
+#include "core/slicer.h"
+#include "net/message.h"
+#include "obs/metrics.h"
 #include "transport/threaded_transport.h"
+#include "transport/transport.h"
 
 namespace desis {
 namespace {
@@ -338,6 +343,250 @@ TEST(DesisCluster, HolisticSlidingWindowsMatchSingleNodeExactly) {
     const ResultMap got = RunCluster(cluster, streams, 50, 3'000);
     EXPECT_EQ(WindowCount(got), WindowCount(want));
     ExpectSameResults(got, want, /*tol=*/0.0);
+  }
+}
+
+// Events on keys 0-3 with integer values, so every aggregate is exact.
+// Gaps are 1-1,000 µs, except about 2% that are 20-40 ms, long enough to
+// close a 15 ms session; 2,000 events span about 2.2 s.
+std::vector<std::vector<Event>> BurstyStreams(int locals, int per_local,
+                                              uint64_t seed) {
+  std::vector<std::vector<Event>> streams(static_cast<size_t>(locals));
+  Rng rng(seed);
+  for (auto& stream : streams) {
+    Timestamp ts = 0;
+    for (int i = 0; i < per_local; ++i) {
+      ts += rng.NextBool(0.02) ? rng.NextInRange(20'000, 40'000)
+                               : rng.NextInRange(1, 1'000);
+      stream.push_back({ts, static_cast<uint32_t>(rng.NextBounded(4)),
+                        static_cast<double>(rng.NextBounded(1000)), kNoMarker});
+    }
+  }
+  return streams;
+}
+
+Timestamp LastEventTs(const std::vector<std::vector<Event>>& streams) {
+  Timestamp last = 0;
+  for (const auto& stream : streams) last = std::max(last, stream.back().ts);
+  return last;
+}
+
+// Drives 10 ms event-time rounds as clusterbench feeds a cluster: every
+// local ingests its events below the round's end, then every local
+// advances to it. `before_round(wm)` runs ahead of each round and
+// `after_advance(local, wm)` after each AdvanceAt.
+constexpr Timestamp kRound = 10'000;
+void RunRounds(Cluster& cluster,
+               const std::vector<std::vector<Event>>& per_local,
+               Timestamp end_ts,
+               const std::function<void(Timestamp)>& before_round,
+               const std::function<void(int, Timestamp)>& after_advance) {
+  std::vector<size_t> cursor(per_local.size(), 0);
+  for (Timestamp wm = kRound; wm <= end_ts; wm += kRound) {
+    if (before_round) before_round(wm);
+    for (size_t i = 0; i < per_local.size(); ++i) {
+      const size_t begin = cursor[i];
+      while (cursor[i] < per_local[i].size() &&
+             per_local[i][cursor[i]].ts < wm) {
+        ++cursor[i];
+      }
+      if (cursor[i] > begin) {
+        cluster.IngestAt(static_cast<int>(i), per_local[i].data() + begin,
+                         cursor[i] - begin);
+      }
+    }
+    for (size_t i = 0; i < per_local.size(); ++i) {
+      cluster.AdvanceAt(static_cast<int>(i), wm);
+      if (after_advance) after_advance(static_cast<int>(i), wm);
+    }
+  }
+  cluster.Drain();
+}
+
+TEST(DesisCluster, FixedWindowsReleaseInTheRoundTheirEndPasses) {
+  // The KeyEquals(1) group's slices end only at multiples of 250 ms, so its
+  // open slice starts up to 250 ms behind the watermark. That must not hold
+  // back the match-all group: every window reaches the sink during the
+  // first round whose watermark reaches its end.
+  const std::vector<Query> queries = {
+      MakeQuery(1, WindowSpec::Tumbling(100'000), AggregationFunction::kSum),
+      MakeQuery(2, WindowSpec::Tumbling(250'000), AggregationFunction::kSum,
+                Predicate::KeyEquals(1)),
+  };
+  const auto streams = BurstyStreams(2, 2'000, 71);
+  const Timestamp end_ts = LastEventTs(streams) + 260'000;
+  const ResultMap want = RunReference(queries, streams, end_ts);
+  ASSERT_EQ(want.size(), queries.size());
+
+  obs::MetricsRegistry registry;
+  Cluster cluster(ClusterSystem::kDesis, {2, 1});
+  cluster.AttachObs(&registry, nullptr);
+  ASSERT_TRUE(cluster.Configure(queries).ok());
+  ASSERT_EQ(cluster.QueryGroupsSnapshot().size(), 2u);
+  ResultMap got;
+  std::map<QueryId, std::map<Timestamp, Timestamp>> released_at;
+  Timestamp round_wm = kNoTimestamp;
+  cluster.set_sink([&](const WindowResult& r) {
+    got[r.query_id][r.window_start] = r;
+    released_at[r.query_id][r.window_start] = round_wm;
+  });
+  RunRounds(cluster, streams, end_ts,
+            [&](Timestamp wm) { round_wm = wm; }, nullptr);
+  EXPECT_EQ(WindowCount(got), WindowCount(want));
+  ExpectSameResults(got, want, /*tol=*/0.0);
+  for (const auto& [qid, windows] : got) {
+    for (const auto& [ws, r] : windows) {
+      const Timestamp due = (r.window_end + kRound - 1) / kRound * kRound;
+      EXPECT_EQ(released_at[qid][ws], due)
+          << "query " << qid << " window [" << ws << ", " << r.window_end
+          << ")";
+    }
+  }
+#if DESIS_OBS_ENABLED
+  // The root's own probe agrees: no window waited for the watermark.
+  const obs::Histogram* lag = registry.GetHistogram(
+      "root.release_lag_us", {{"node", "0"}, {"role", "root"}});
+  EXPECT_EQ(lag->count(), WindowCount(got));
+  EXPECT_EQ(lag->max(), 0u);
+#endif
+
+  // Threaded delivery: the same windows, exactly.
+  Cluster threaded(ClusterSystem::kDesis, {2, 1});
+  threaded.set_transport(std::make_unique<ThreadedTransport>());
+  ASSERT_TRUE(threaded.Configure(queries).ok());
+  ResultMap threaded_got;
+  threaded.set_sink([&](const WindowResult& r) {
+    threaded_got[r.query_id][r.window_start] = r;
+  });
+  RunRounds(threaded, streams, end_ts, nullptr, nullptr);
+  EXPECT_EQ(WindowCount(threaded_got), WindowCount(want));
+  ExpectSameResults(threaded_got, want, /*tol=*/0.0);
+}
+
+// Inline delivery that keeps the last watermark a local advertised.
+class LocalWatermarkTap final : public Transport {
+ public:
+  const char* name() const override { return "inline"; }
+  void Send(Node* from, Node* to, int child_index,
+            const Message& message) override {
+    if (from->role() == NodeRole::kLocal &&
+        message.type == MessageType::kWatermark) {
+      last = DecodeWatermark(message.payload);
+    }
+    to->Receive(message, child_index);
+  }
+  Timestamp last = kNoTimestamp;
+};
+
+TEST(DesisCluster, SessionGroupKeepsPinningItsLocalsWatermark) {
+  // A match-all fixed group next to a KeyEquals(1) session group: the
+  // fixed group may not lift a local's watermark above the session group's
+  // open slice, or the root's session scan would pass activity still
+  // sitting in it.
+  const std::vector<Query> queries = {
+      MakeQuery(1, WindowSpec::Tumbling(100'000), AggregationFunction::kSum),
+      MakeQuery(2, WindowSpec::Sliding(200'000, 50'000),
+                AggregationFunction::kMax),
+      MakeQuery(3, WindowSpec::Session(15'000), AggregationFunction::kSum,
+                Predicate::KeyEquals(1)),
+  };
+  const auto streams = BurstyStreams(2, 2'000, 83);
+  const Timestamp end_ts = LastEventTs(streams) + 260'000;
+  const ResultMap want = RunReference(queries, streams, end_ts);
+  ASSERT_EQ(want.size(), queries.size());
+
+  Cluster cluster(ClusterSystem::kDesis, {2, 1});
+  auto tap = std::make_unique<LocalWatermarkTap>();
+  LocalWatermarkTap* tap_raw = tap.get();
+  cluster.set_transport(std::move(tap));
+  ASSERT_TRUE(cluster.Configure(queries).ok());
+  const std::vector<QueryGroup> groups = cluster.QueryGroupsSnapshot();
+  ASSERT_EQ(groups.size(), 2u);
+  const QueryGroup& session_group = groups[1];
+  ASSERT_EQ(session_group.queries.front().query.id, 3u);
+
+  // Each local's session slicer, replayed from the same calls: its
+  // SafeWatermark() is the ceiling for the local's advertisement.
+  EngineStats mirror_stats;
+  SlicerOptions options;
+  options.assemble_windows = false;
+  options.keep_slices = false;
+  std::vector<std::unique_ptr<StreamSlicer>> mirrors;
+  for (size_t i = 0; i < streams.size(); ++i) {
+    mirrors.push_back(
+        std::make_unique<StreamSlicer>(session_group, options, &mirror_stats));
+  }
+  std::vector<size_t> mirror_cursor(streams.size(), 0);
+
+  ResultMap got;
+  cluster.set_sink([&](const WindowResult& r) {
+    got[r.query_id][r.window_start] = r;
+  });
+  int pinned_checks = 0;
+  RunRounds(cluster, streams, end_ts, nullptr,
+            [&](int local, Timestamp wm) {
+              const auto i = static_cast<size_t>(local);
+              const size_t begin = mirror_cursor[i];
+              while (mirror_cursor[i] < streams[i].size() &&
+                     streams[i][mirror_cursor[i]].ts < wm) {
+                ++mirror_cursor[i];
+              }
+              mirrors[i]->IngestBatch(streams[i].data() + begin,
+                                      mirror_cursor[i] - begin);
+              mirrors[i]->AdvanceTo(wm);
+              const Timestamp ceiling = mirrors[i]->SafeWatermark();
+              EXPECT_LE(tap_raw->last, ceiling)
+                  << "local " << local << " at round " << wm;
+              pinned_checks += tap_raw->last < wm ? 1 : 0;
+            });
+  // The session group held the watermark below the round's end at times.
+  EXPECT_GT(pinned_checks, 0);
+  EXPECT_EQ(cluster.cursor_violations(), 0u);
+  EXPECT_EQ(WindowCount(got), WindowCount(want));
+  ExpectSameResults(got, want, /*tol=*/0.0);
+}
+
+TEST(DesisCluster, RuntimeSessionQueryPutsFixedGroupBackUnderPinning) {
+  // The KeyEquals(1) group starts fixed-only, so its locals may advertise
+  // past its open slice. A session query joining it mid-stream makes the
+  // group pin again; the partial its locals seal at the join starts behind
+  // the root's watermark, and must still reach the root before the new
+  // session scan passes it.
+  const std::vector<Query> queries = {
+      MakeQuery(1, WindowSpec::Tumbling(100'000), AggregationFunction::kSum),
+      MakeQuery(2, WindowSpec::Tumbling(250'000), AggregationFunction::kSum,
+                Predicate::KeyEquals(1)),
+  };
+  const Query session =
+      MakeQuery(3, WindowSpec::Session(15'000), AggregationFunction::kCount,
+                Predicate::KeyEquals(1));
+  const auto streams = BurstyStreams(2, 2'000, 97);
+  const Timestamp end_ts = LastEventTs(streams) + 260'000;
+  const ResultMap want = RunReference(queries, streams, end_ts);
+  ASSERT_EQ(want.size(), queries.size());
+
+  for (const Timestamp add_at : {130'000, 370'000}) {
+    SCOPED_TRACE(testing::Message() << "session query added at " << add_at);
+    Cluster cluster(ClusterSystem::kDesis, {2, 1});
+    cluster.set_transport(std::make_unique<ThreadedTransport>());
+    ASSERT_TRUE(cluster.Configure(queries).ok());
+    ResultMap got;
+    cluster.set_sink([&](const WindowResult& r) {
+      got[r.query_id][r.window_start] = r;
+    });
+    RunRounds(cluster, streams, end_ts,
+              [&](Timestamp wm) {
+                if (wm != add_at) return;
+                ASSERT_TRUE(cluster.AddQuery(session).ok());
+                ASSERT_EQ(cluster.QueryGroupsSnapshot().size(), 2u);
+              },
+              nullptr);
+    EXPECT_EQ(cluster.cursor_violations(), 0u);
+    EXPECT_FALSE(got[3].empty());
+    ResultMap resident = got;
+    resident.erase(3);
+    EXPECT_EQ(WindowCount(resident), WindowCount(want));
+    ExpectSameResults(resident, want, /*tol=*/0.0);
   }
 }
 

@@ -56,7 +56,6 @@ TEST(Message, SlicePartialRoundTrip) {
   msg.start = 1000;
   msg.end = 2000;
   msg.last_event_ts = 1999;
-  msg.watermark = 2050;
   PartialAggregate lane0(MaskOf(OperatorKind::kSum) |
                          MaskOf(OperatorKind::kCount));
   lane0.Add(1.5);
@@ -78,7 +77,6 @@ TEST(Message, SlicePartialRoundTrip) {
   EXPECT_EQ(back.start, 1000);
   EXPECT_EQ(back.end, 2000);
   EXPECT_EQ(back.last_event_ts, 1999);
-  EXPECT_EQ(back.watermark, 2050);
   ASSERT_EQ(back.lanes.size(), 2u);
   EXPECT_DOUBLE_EQ(back.lanes[0].Finalize({AggregationFunction::kSum, 0}), 4.0);
   EXPECT_EQ(back.lane_events, (std::vector<uint64_t>{2, 0}));

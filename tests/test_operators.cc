@@ -257,9 +257,8 @@ bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
-SortedState SealedRun(const std::vector<double>& values, size_t cap = 0) {
+SortedState SealedRun(const std::vector<double>& values) {
   SortedState run;
-  run.set_sample_cap(cap);
   run.AddN(values.data(), values.size());
   run.Seal();
   return run;
@@ -379,31 +378,6 @@ TEST(SortedRuns, SketchRunMergesInOrder) {
     EXPECT_TRUE(SameBits(runs.Quantile(q), merged.digest().Quantile(q)))
         << "q=" << q;
   }
-}
-
-TEST(SortedRuns, CappedRunsMergeInOrder) {
-  Rng rng(11);
-  std::vector<SortedState> states;
-  for (size_t cap : {0, 64, 0, 16, 64}) {
-    std::vector<double> values(300 + rng.NextBounded(300));
-    for (double& v : values) {
-      v = rng.NextBounded(5) == 0
-              ? -0.0
-              : static_cast<double>(rng.NextBounded(50)) - 25;
-    }
-    states.push_back(SealedRun(values, cap));
-    if (cap != 0) {
-      ASSERT_EQ(states.back().size(), cap);
-    }
-  }
-  SortedRuns runs;
-  SortedState merged;
-  merged.Seal();
-  for (const SortedState& state : states) {
-    runs.Append(state);
-    merged.Merge(state);
-  }
-  ExpectReadsLikeMerged(runs, merged);
 }
 
 TEST(PartialAggregate, WindowMergeMatchesInOrderMergeWhenNarrowed) {
